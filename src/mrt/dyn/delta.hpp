@@ -79,11 +79,11 @@ class DynNet {
   }
   /// Usable for routing: admin-up and both endpoints up.
   bool arc_alive(int arc) const {
-    if (!arc_up_[static_cast<std::size_t>(arc)]) return false;
-    const Arc& a = net_.graph().arc(arc);
-    return node_up_[static_cast<std::size_t>(a.src)] &&
-           node_up_[static_cast<std::size_t>(a.dst)];
+    return alive_[static_cast<std::size_t>(arc)] != 0;
   }
+  /// arc_alive() as one byte per arc id, kept current by apply() from the
+  /// arcs it reports changed — the mask every solver hot loop reads.
+  const std::vector<std::uint8_t>& alive() const { return alive_; }
 
   /// Bumped once per applied delta batch.
   std::uint64_t version() const { return version_; }
@@ -110,12 +110,18 @@ class DynNet {
   };
 
   /// Applies a batch of edits; every list in the result is sorted + deduped.
+  /// Every op's arc and node id is range-checked before the first mutation:
+  /// a batch naming an invalid id throws std::logic_error and leaves masks,
+  /// labels and version untouched.
   Applied apply(const TopologyDelta& delta);
 
  private:
+  bool compute_alive(int arc) const;
+
   LabeledGraph net_;
   std::vector<bool> arc_up_;   // admin state, per arc id
   std::vector<bool> node_up_;  // crash state, per node
+  std::vector<std::uint8_t> alive_;  // compute_alive(), per arc id
   std::uint64_t version_ = 0;
 };
 

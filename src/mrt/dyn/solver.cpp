@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "mrt/dyn/column.hpp"
 #include "mrt/obs/obs.hpp"
 #include "mrt/support/require.hpp"
 
@@ -43,9 +44,10 @@ using obs::EventKind;
 using obs::Subsystem;
 
 /// Shared engine state: the bound problem, the current solution, and the
-/// helpers both engines build their warm paths from — candidate scans,
-/// transitive invalidation, and the canonicalization pass that gives cold
-/// and warm runs a common normal form.
+/// update protocol. The per-destination steps both engines build their warm
+/// paths from — transitive invalidation, warm seeding, and the canonical
+/// forest that gives cold and warm runs a common normal form — live in
+/// dyn::Column (column.hpp), which also runs the Bellman engine's worklist.
 class EngineBase : public Solver {
  public:
   EngineBase(OrderTransform alg, const compile::WeightEngine* weng)
@@ -80,7 +82,7 @@ class EngineBase : public Solver {
     obs::jrecord(Subsystem::Dyn, EventKind::UpdateEnd, jstream_, -1, -1,
                  -static_cast<std::int64_t>(stats_.affected),
                  dnet_.version());
-    return r_;
+    return col_.r;
   }
 
   const Routing& update(const TopologyDelta& delta) override {
@@ -90,7 +92,7 @@ class EngineBase : public Solver {
         obs::registry().histogram("dyn.update_ns");
     obs::ScopedTimer timer(update_ns);
     const DynNet::Applied ap = dnet_.apply(delta);
-    journal_delta(delta, ap);
+    dyn::journal_delta(jstream_, dnet_, delta, ap);
     // Delta-aware re-encoding: only the relabeled arcs' programs recompile.
     if (weng_ != nullptr) {
       for (int id : ap.relabeled_arcs) cnet_.relabel(id, dnet_.label(id));
@@ -98,16 +100,16 @@ class EngineBase : public Solver {
     begin_stats(/*cold=*/false, ap.changed_arcs.size());
     if (!ap.any()) {
       finish_stats(/*is_update=*/true);
-      return r_;
+      return col_.r;
     }
-    if (!dyn::enabled() || !converged_) {
+    if (!dyn::enabled() || !col_.converged) {
       run_cold();
     } else {
       warm_update(ap);
       // The incremental pass hit its safety cap: the masked full solve is
       // the fallback (it terminates regardless of the algebra's properties
       // on the Dijkstra engine, and caps identically on Bellman).
-      if (!converged_) run_cold();
+      if (!col_.converged) run_cold();
     }
     finish_stats(/*is_update=*/true);
     journal_routing_diff();
@@ -115,20 +117,20 @@ class EngineBase : public Solver {
                  stats_.cold ? -static_cast<std::int64_t>(stats_.affected)
                              : static_cast<std::int64_t>(stats_.affected),
                  dnet_.version());
-    return r_;
+    return col_.r;
   }
 
-  const Routing& routing() const override { return r_; }
+  const Routing& routing() const override { return col_.r; }
   const dyn::DynNet& net() const override { return dnet_; }
   int dest() const override { return dest_; }
   std::uint32_t journal_stream() const override { return jstream_; }
-  bool converged() const override { return converged_; }
+  bool converged() const override { return col_.converged; }
   const UpdateStats& last_update() const override { return stats_; }
 
  protected:
-  /// Full solve over the current masks; sets r_ and converged_.
+  /// Full solve over the current masks; sets col_.
   virtual void cold_solve() = 0;
-  /// Incremental recomputation; sets r_, converged_, stats_.affected.
+  /// Incremental recomputation; sets col_ and stats_.affected.
   virtual void warm_update(const DynNet::Applied& ap) = 0;
 
   void run_cold() {
@@ -139,199 +141,16 @@ class EngineBase : public Solver {
 
   bool node_ok(int v) const { return dnet_.node_up(v); }
 
-  void clear_route(int v) {
-    r_.weight[static_cast<std::size_t>(v)] = std::nullopt;
-    r_.next_arc[static_cast<std::size_t>(v)] = -1;
-  }
-
-  struct Candidate {
-    std::optional<Value> weight;
-    int arc = -1;
-  };
-
-  /// Best extension of u's neighbours' current routes over alive out-arcs.
-  /// Ties break toward the smaller arc id (out_arcs is in id order);
-  /// self-loops are skipped — they can tie but never improve under ND, and
-  /// a self-loop witness would be a forwarding loop.
-  Candidate best_candidate(int u) {
-    Candidate best;
-    const Digraph& g = dnet_.graph();
-    for (int id : g.out_arcs(u)) {
-      if (!dnet_.arc_alive(id)) continue;
-      const int v = g.arc(id).dst;
-      if (v == u) continue;
-      const auto& wv = r_.weight[static_cast<std::size_t>(v)];
-      if (!wv) continue;
-      ++stats_.relaxations;
-      Value cand = alg_.fns->apply(dnet_.label(id), *wv);
-      if (!best.weight || lt_of(alg_.ord->cmp(cand, *best.weight))) {
-        best.weight = std::move(cand);
-        best.arc = id;
-      }
-    }
-    return best;
-  }
-
-  /// Rebuilds every witness as a breadth-first forest over *achieving* arcs
-  /// (arcs whose extension of the head's weight lands in the node's weight
-  /// class), rooted at dest. Within a BFS layer nodes attach in ascending id
-  /// and each picks its smallest achieving arc into the previous layers, so
-  /// the forest is a pure function of the weight vector and the alive
-  /// topology — cold and warm solves emit identical bytes whenever they
-  /// reach the same fixed point. Crucially the result is cycle-free by
-  /// construction: a per-node smallest-arc rule could let two equal-weight
-  /// nodes witness each other (saturation plateaus), leaving a forwarding
-  /// cycle that `invalidate` can never trace back to a failure. Nodes whose
-  /// weight is not supported by the forest (such ghost plateaus) are
-  /// cleared rather than preserved (see docs/DYN.md).
-  void rebuild_witnesses() {
-    const int n = dnet_.num_nodes();
-    const Digraph& g = dnet_.graph();
-    std::vector<char> attached(static_cast<std::size_t>(n), 0);
-    if (node_ok(dest_) && r_.weight[static_cast<std::size_t>(dest_)]) {
-      r_.weight[static_cast<std::size_t>(dest_)] = origin_;
-      r_.next_arc[static_cast<std::size_t>(dest_)] = -1;
-      attached[static_cast<std::size_t>(dest_)] = 1;
-      std::vector<int> frontier{dest_};
-      std::vector<int> cands;
-      std::vector<int> next;
-      while (!frontier.empty()) {
-        cands.clear();
-        for (int v : frontier) {
-          for (int id : g.in_arcs(v)) {
-            if (!dnet_.arc_alive(id)) continue;
-            const int u = g.arc(id).src;
-            if (!attached[static_cast<std::size_t>(u)] && node_ok(u) &&
-                r_.weight[static_cast<std::size_t>(u)]) {
-              cands.push_back(u);
-            }
-          }
-        }
-        std::sort(cands.begin(), cands.end());
-        cands.erase(std::unique(cands.begin(), cands.end()), cands.end());
-        next.clear();
-        for (int u : cands) {
-          for (int id : g.out_arcs(u)) {
-            if (!dnet_.arc_alive(id)) continue;
-            const int h = g.arc(id).dst;
-            if (h == u || !attached[static_cast<std::size_t>(h)]) continue;
-            ++stats_.relaxations;
-            Value cand = alg_.fns->apply(
-                dnet_.label(id), *r_.weight[static_cast<std::size_t>(h)]);
-            if (equiv_of(alg_.ord->cmp(
-                    cand, *r_.weight[static_cast<std::size_t>(u)]))) {
-              // Normalized weight = the value actually achieved along the
-              // witness (identical for antisymmetric algebras).
-              r_.weight[static_cast<std::size_t>(u)] = std::move(cand);
-              r_.next_arc[static_cast<std::size_t>(u)] = id;
-              next.push_back(u);
-              break;
-            }
-          }
-        }
-        // Snapshot semantics: this layer becomes visible only for the next
-        // one, keeping the layering independent of in-round scan order.
-        for (int u : next) attached[static_cast<std::size_t>(u)] = 1;
-        frontier.swap(next);
-      }
-    }
-    for (int v = 0; v < n; ++v) {
-      if (!attached[static_cast<std::size_t>(v)]) clear_route(v);
-    }
-  }
-
-  /// Transitively invalidates every node whose forwarding chain passes
-  /// through a changed arc or a crashed node, clearing their routes, and
-  /// returns the sorted invalidated set. Running this *before* any
-  /// recomputation is what rules out count-to-infinity ghosts: no surviving
-  /// weight references a dead or relabeled witness, so every surviving
-  /// weight is still achievable in the new topology.
-  std::vector<int> invalidate(const DynNet::Applied& ap) {
-    const int n = dnet_.num_nodes();
-    const Digraph& g = dnet_.graph();
-    std::vector<char> invalid(static_cast<std::size_t>(n), 0);
-    std::vector<int> stack;
-    auto kill = [&](int v) {
-      if (!invalid[static_cast<std::size_t>(v)]) {
-        invalid[static_cast<std::size_t>(v)] = 1;
-        stack.push_back(v);
-      }
-    };
-    for (int v : ap.nodes_down) kill(v);
-    // A changed arc that is someone's witness either died or was relabeled
-    // (an arc that *came up* cannot have been a witness), so the route's
-    // stored value is no longer trustworthy either way.
-    for (int id : ap.changed_arcs) {
-      const int u = g.arc(id).src;
-      if (r_.next_arc[static_cast<std::size_t>(u)] == id) kill(u);
-    }
-    while (!stack.empty()) {
-      const int v = stack.back();
-      stack.pop_back();
-      for (int id : g.in_arcs(v)) {
-        const int u = g.arc(id).src;
-        if (r_.next_arc[static_cast<std::size_t>(u)] == id) kill(u);
-      }
-    }
-    std::vector<int> out;
-    for (int v = 0; v < n; ++v) {
-      if (invalid[static_cast<std::size_t>(v)]) {
-        obs::jrecord(Subsystem::Dyn, EventKind::WitnessInvalidate, jstream_,
-                     v, r_.next_arc[static_cast<std::size_t>(v)], 0,
-                     dnet_.version());
-        clear_route(v);
-        out.push_back(v);
-      }
-    }
-    return out;
-  }
-
-  /// Warm-start frontier: the invalidated set, the tails of changed arcs
-  /// (their candidate sets changed even if their witness survived), and
-  /// restarted nodes. Crashed nodes are excluded — their routes stay clear.
-  std::vector<int> seed_nodes(const DynNet::Applied& ap,
-                              const std::vector<int>& invalid) {
-    std::vector<int> seeds = invalid;
-    const Digraph& g = dnet_.graph();
-    for (int id : ap.changed_arcs) seeds.push_back(g.arc(id).src);
-    for (int v : ap.nodes_up) seeds.push_back(v);
-    std::sort(seeds.begin(), seeds.end());
-    seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
-    seeds.erase(std::remove_if(seeds.begin(), seeds.end(),
-                               [&](int v) { return !node_ok(v); }),
-                seeds.end());
-    return seeds;
-  }
-
-  /// Journals the applied delta batch: one record per op, all carrying the
-  /// post-apply topology version, so provenance can map a route change back
-  /// to the exact ops of the batch that caused it.
-  void journal_delta(const TopologyDelta& delta, const DynNet::Applied& ap) {
-    if (!obs::journal_enabled()) return;
-    obs::jrecord(Subsystem::Dyn, EventKind::UpdateBegin, jstream_, -1, -1,
-                 static_cast<std::int64_t>(delta.ops.size()), dnet_.version());
-    for (int id : ap.changed_arcs) {
-      const bool relabeled = std::binary_search(ap.relabeled_arcs.begin(),
-                                                ap.relabeled_arcs.end(), id);
-      obs::jrecord(Subsystem::Dyn,
-                   relabeled ? EventKind::DeltaRelabel : EventKind::DeltaArc,
-                   jstream_, dnet_.graph().arc(id).src, id,
-                   dnet_.arc_alive(id) ? 1 : 0, dnet_.version());
-    }
-    for (int v : ap.nodes_down) {
-      obs::jrecord(Subsystem::Dyn, EventKind::DeltaNodeDown, jstream_, v, -1,
-                   0, dnet_.version());
-    }
-    for (int v : ap.nodes_up) {
-      obs::jrecord(Subsystem::Dyn, EventKind::DeltaNodeUp, jstream_, v, -1, 0,
-                   dnet_.version());
-    }
+  /// The column's view of the bound problem; per-node records go to this
+  /// binding's journal stream.
+  dyn::Column::Env env() const {
+    return dyn::Column::Env{dnet_, alg_, dest_, origin_, jstream_};
   }
 
   /// Journals the routing diff against the previously published solution:
   /// one WitnessAttach per node whose (weight, witness arc) changed, one
   /// WitnessClear per node that lost its route. Diffing is the point —
-  /// rebuild_witnesses() re-attaches every routed node on every update, but
+  /// the canonical forest re-attaches every routed node on every update, but
   /// provenance wants "the delta after which this route last changed", so
   /// unaffected nodes must keep their older attach records. With the journal
   /// off the baseline goes stale; it is dropped so a later enable re-attaches
@@ -343,10 +162,10 @@ class EngineBase : public Solver {
     }
     const int n = dnet_.num_nodes();
     const bool based =
-        jprev_valid_ && jprev_weight_.size() == r_.weight.size();
+        jprev_valid_ && jprev_weight_.size() == col_.r.weight.size();
     for (int v = 0; v < n; ++v) {
-      const auto& w = r_.weight[static_cast<std::size_t>(v)];
-      const int arc = r_.next_arc[static_cast<std::size_t>(v)];
+      const auto& w = col_.r.weight[static_cast<std::size_t>(v)];
+      const int arc = col_.r.next_arc[static_cast<std::size_t>(v)];
       bool changed;
       if (!based) {
         changed = w.has_value();
@@ -364,8 +183,8 @@ class EngineBase : public Solver {
                      0, dnet_.version());
       }
     }
-    jprev_weight_ = r_.weight;
-    jprev_arc_ = r_.next_arc;
+    jprev_weight_ = col_.r.weight;
+    jprev_arc_ = col_.r.next_arc;
     jprev_valid_ = true;
   }
 
@@ -406,8 +225,7 @@ class EngineBase : public Solver {
   int dest_ = -1;
   Value origin_;
   bool bound_ = false;
-  bool converged_ = false;
-  Routing r_;
+  dyn::Column col_;  // the solution and its converged flag
   compile::CompiledNet cnet_;
   UpdateStats stats_;
   // Flight-recorder state: this binding's journal stream, and the routing
@@ -436,46 +254,46 @@ class DijkstraEngine final : public EngineBase {
  private:
   void cold_solve() override {
     const int n = dnet_.num_nodes();
-    r_.weight.assign(static_cast<std::size_t>(n), std::nullopt);
-    r_.next_arc.assign(static_cast<std::size_t>(n), -1);
-    converged_ = true;
+    col_.r.weight.assign(static_cast<std::size_t>(n), std::nullopt);
+    col_.r.next_arc.assign(static_cast<std::size_t>(n), -1);
+    col_.converged = true;
     if (!node_ok(dest_)) return;
     if (!cold_flat()) cold_boxed();
-    rebuild_witnesses();
+    col_.rebuild(env(), stats_.relaxations);
   }
 
   void cold_boxed() {
     const int n = dnet_.num_nodes();
     const Digraph& g = dnet_.graph();
     const PreorderSet& ord = *alg_.ord;
-    r_.weight[static_cast<std::size_t>(dest_)] = origin_;
+    col_.r.weight[static_cast<std::size_t>(dest_)] = origin_;
     std::vector<char> settled(static_cast<std::size_t>(n), 0);
     for (;;) {
       int best = -1;
       for (int v = 0; v < n; ++v) {
         if (settled[static_cast<std::size_t>(v)] ||
-            !r_.weight[static_cast<std::size_t>(v)]) {
+            !col_.r.weight[static_cast<std::size_t>(v)]) {
           continue;
         }
         if (best < 0 ||
-            lt_of(ord.cmp(*r_.weight[static_cast<std::size_t>(v)],
-                          *r_.weight[static_cast<std::size_t>(best)]))) {
+            lt_of(ord.cmp(*col_.r.weight[static_cast<std::size_t>(v)],
+                          *col_.r.weight[static_cast<std::size_t>(best)]))) {
           best = v;
         }
       }
       if (best < 0) break;
       settled[static_cast<std::size_t>(best)] = 1;
-      const Value& wb = *r_.weight[static_cast<std::size_t>(best)];
+      const Value& wb = *col_.r.weight[static_cast<std::size_t>(best)];
       for (int id : g.in_arcs(best)) {
         if (!dnet_.arc_alive(id)) continue;
         const int u = g.arc(id).src;
         if (u == best || settled[static_cast<std::size_t>(u)]) continue;
         ++stats_.relaxations;
         Value cand = alg_.fns->apply(dnet_.label(id), wb);
-        auto& wu = r_.weight[static_cast<std::size_t>(u)];
+        auto& wu = col_.r.weight[static_cast<std::size_t>(u)];
         if (!wu || lt_of(ord.cmp(cand, *wu))) {
           wu = std::move(cand);
-          r_.next_arc[static_cast<std::size_t>(u)] = id;
+          col_.r.next_arc[static_cast<std::size_t>(u)] = id;
         }
       }
     }
@@ -524,21 +342,22 @@ class DijkstraEngine final : public EngineBase {
             lt_of(ca.compare(cand.data(), wp(u)))) {
           for (std::size_t k = 0; k < stride; ++k) wp(u)[k] = cand[k];
           present[static_cast<std::size_t>(u)] = 1;
-          r_.next_arc[static_cast<std::size_t>(u)] = id;
+          col_.r.next_arc[static_cast<std::size_t>(u)] = id;
         }
       }
     }
     for (int v = 0; v < n; ++v) {
       if (present[static_cast<std::size_t>(v)]) {
-        r_.weight[static_cast<std::size_t>(v)] = ca.decode(wp(v));
+        col_.r.weight[static_cast<std::size_t>(v)] = ca.decode(wp(v));
       }
     }
     return true;
   }
 
   void warm_update(const DynNet::Applied& ap) override {
-    const std::vector<int> invalid = invalidate(ap);
-    std::vector<int> affected = seed_nodes(ap, invalid);
+    const dyn::Column::Env e = env();
+    std::vector<int> affected =
+        dyn::Column::seeds(e, ap, col_.invalidate(e, ap));
     const int n = dnet_.num_nodes();
     const Digraph& g = dnet_.graph();
     const PreorderSet& ord = *alg_.ord;
@@ -553,26 +372,27 @@ class DijkstraEngine final : public EngineBase {
     // affected nodes arrive as those settle.
     for (int u : affected) {
       if (u == dest_) {
-        r_.weight[static_cast<std::size_t>(u)] = origin_;
-        r_.next_arc[static_cast<std::size_t>(u)] = -1;
+        col_.r.weight[static_cast<std::size_t>(u)] = origin_;
+        col_.r.next_arc[static_cast<std::size_t>(u)] = -1;
         continue;
       }
-      Candidate best;
+      std::optional<Value> best;
+      int best_arc = -1;
       for (int id : g.out_arcs(u)) {
         if (!dnet_.arc_alive(id)) continue;
         const int v = g.arc(id).dst;
         if (v == u || in_a[static_cast<std::size_t>(v)]) continue;
-        const auto& wv = r_.weight[static_cast<std::size_t>(v)];
+        const auto& wv = col_.r.weight[static_cast<std::size_t>(v)];
         if (!wv) continue;
         ++stats_.relaxations;
         Value cand = alg_.fns->apply(dnet_.label(id), *wv);
-        if (!best.weight || lt_of(ord.cmp(cand, *best.weight))) {
-          best.weight = std::move(cand);
-          best.arc = id;
+        if (!best || lt_of(ord.cmp(cand, *best))) {
+          best = std::move(cand);
+          best_arc = id;
         }
       }
-      r_.weight[static_cast<std::size_t>(u)] = std::move(best.weight);
-      r_.next_arc[static_cast<std::size_t>(u)] = best.arc;
+      col_.r.weight[static_cast<std::size_t>(u)] = std::move(best);
+      col_.r.next_arc[static_cast<std::size_t>(u)] = best_arc;
     }
 
     // Worst case re-settles every node a few times; beyond that something
@@ -584,35 +404,35 @@ class DijkstraEngine final : public EngineBase {
       int best = -1;
       for (int v : affected) {
         if (settled[static_cast<std::size_t>(v)] ||
-            !r_.weight[static_cast<std::size_t>(v)]) {
+            !col_.r.weight[static_cast<std::size_t>(v)]) {
           continue;
         }
         if (best < 0 ||
-            lt_of(ord.cmp(*r_.weight[static_cast<std::size_t>(v)],
-                          *r_.weight[static_cast<std::size_t>(best)]))) {
+            lt_of(ord.cmp(*col_.r.weight[static_cast<std::size_t>(v)],
+                          *col_.r.weight[static_cast<std::size_t>(best)]))) {
           best = v;
         }
       }
       if (best < 0) break;
       if (++settles > settle_cap) {
-        converged_ = false;
+        col_.converged = false;
         return;
       }
       settled[static_cast<std::size_t>(best)] = 1;
       obs::jrecord(Subsystem::Dyn, EventKind::RelaxSettle, jstream_, best,
-                   r_.next_arc[static_cast<std::size_t>(best)],
+                   col_.r.next_arc[static_cast<std::size_t>(best)],
                    static_cast<std::int64_t>(settles), dnet_.version());
-      const Value wb = *r_.weight[static_cast<std::size_t>(best)];
+      const Value wb = *col_.r.weight[static_cast<std::size_t>(best)];
       for (int id : g.in_arcs(best)) {
         if (!dnet_.arc_alive(id)) continue;
         const int u = g.arc(id).src;
         if (u == best || u == dest_) continue;
         ++stats_.relaxations;
         Value cand = alg_.fns->apply(dnet_.label(id), wb);
-        auto& wu = r_.weight[static_cast<std::size_t>(u)];
+        auto& wu = col_.r.weight[static_cast<std::size_t>(u)];
         if (!wu || lt_of(ord.cmp(cand, *wu))) {
           wu = std::move(cand);
-          r_.next_arc[static_cast<std::size_t>(u)] = id;
+          col_.r.next_arc[static_cast<std::size_t>(u)] = id;
           // A strict improvement into the frozen region unsettles the node:
           // it joins the affected set and re-relaxes its own in-arcs.
           settled[static_cast<std::size_t>(u)] = 0;
@@ -623,8 +443,8 @@ class DijkstraEngine final : public EngineBase {
         }
       }
     }
-    converged_ = true;
-    rebuild_witnesses();
+    col_.converged = true;
+    col_.rebuild(env(), stats_.relaxations);
     stats_.affected = static_cast<int>(affected.size());
   }
 };
@@ -632,8 +452,8 @@ class DijkstraEngine final : public EngineBase {
 /// Synchronous Bellman–Ford as a dynamic engine: a worklist of active nodes
 /// recomputes each one's best extension from scratch and activates the
 /// tails of its in-arcs on change. The cold path seeds {dest}; the warm
-/// path seeds the invalidated frontier plus touched arc tails. Caps at the
-/// same round budget as the one-shot bellman_sync.
+/// path seeds the invalidated frontier plus touched arc tails. Caps at
+/// dyn::kMaxRounds, the same round budget as the one-shot bellman_sync.
 class BellmanEngine final : public EngineBase {
  public:
   using EngineBase::EngineBase;
@@ -643,89 +463,11 @@ class BellmanEngine final : public EngineBase {
   }
 
  private:
-  static constexpr int kMaxRounds = 1000;  // matches BellmanOptions
-
-  void cold_solve() override {
-    const int n = dnet_.num_nodes();
-    r_.weight.assign(static_cast<std::size_t>(n), std::nullopt);
-    r_.next_arc.assign(static_cast<std::size_t>(n), -1);
-    converged_ = true;
-    if (!node_ok(dest_)) return;
-    converged_ = relax_worklist({dest_}, nullptr);
-    if (converged_) rebuild_witnesses();
-  }
+  void cold_solve() override { col_.solve(env(), stats_.relaxations); }
 
   void warm_update(const DynNet::Applied& ap) override {
-    const std::vector<int> invalid = invalidate(ap);
-    const std::vector<int> seeds = seed_nodes(ap, invalid);
-    std::vector<int> touched;
-    converged_ = relax_worklist(seeds, &touched);
-    if (!converged_) return;
-    rebuild_witnesses();
-    stats_.affected = static_cast<int>(touched.size());
-  }
-
-  /// Gauss–Seidel rounds over the active set, ascending node order within a
-  /// round. Returns false on hitting the round cap (divergent algebra).
-  bool relax_worklist(const std::vector<int>& seeds,
-                      std::vector<int>* touched_out) {
-    const int n = dnet_.num_nodes();
-    const Digraph& g = dnet_.graph();
-    std::vector<char> queued(static_cast<std::size_t>(n), 0);
-    std::vector<char> touched(static_cast<std::size_t>(n), 0);
-    std::vector<int> frontier;
-    for (int u : seeds) {
-      if (node_ok(u) && !queued[static_cast<std::size_t>(u)]) {
-        queued[static_cast<std::size_t>(u)] = 1;
-        frontier.push_back(u);
-      }
-    }
-    int rounds = 0;
-    while (!frontier.empty()) {
-      if (++rounds > kMaxRounds) return false;
-      obs::jrecord(Subsystem::Dyn, EventKind::RelaxWave, jstream_, -1, -1,
-                   static_cast<std::int64_t>(frontier.size()),
-                   dnet_.version());
-      std::sort(frontier.begin(), frontier.end());
-      for (int u : frontier) queued[static_cast<std::size_t>(u)] = 0;
-      std::vector<int> next;
-      auto activate = [&](int x) {
-        if (node_ok(x) && !queued[static_cast<std::size_t>(x)]) {
-          queued[static_cast<std::size_t>(x)] = 1;
-          next.push_back(x);
-        }
-      };
-      for (int u : frontier) {
-        touched[static_cast<std::size_t>(u)] = 1;
-        bool changed = false;
-        auto& wu = r_.weight[static_cast<std::size_t>(u)];
-        if (u == dest_) {
-          changed = !wu || !(*wu == origin_);
-          if (changed) {
-            wu = origin_;
-            r_.next_arc[static_cast<std::size_t>(u)] = -1;
-          }
-        } else {
-          Candidate c = best_candidate(u);
-          changed = (c.weight.has_value() != wu.has_value()) ||
-                    (c.weight && !(*c.weight == *wu));
-          if (changed) {
-            wu = std::move(c.weight);
-            r_.next_arc[static_cast<std::size_t>(u)] = c.arc;
-          }
-        }
-        if (changed) {
-          for (int id : g.in_arcs(u)) activate(g.arc(id).src);
-        }
-      }
-      frontier = std::move(next);
-    }
-    if (touched_out != nullptr) {
-      for (int v = 0; v < n; ++v) {
-        if (touched[static_cast<std::size_t>(v)]) touched_out->push_back(v);
-      }
-    }
-    return true;
+    const int touched = col_.warm(env(), ap, stats_.relaxations);
+    if (col_.converged) stats_.affected = touched;
   }
 };
 

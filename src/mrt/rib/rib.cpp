@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "mrt/compile/simd.hpp"
+#include "mrt/dyn/column.hpp"
 #include "mrt/dyn/solver.hpp"
 #include "mrt/obs/obs.hpp"
 #include "mrt/par/par.hpp"
@@ -42,18 +43,20 @@ int ctz8(unsigned m) {
 
 }  // namespace
 
-// All batched passes below mirror the dyn Bellman engine *per column*: the
-// same Gauss–Seidel worklist (frontier sorted ascending each round, tails of
-// all in-arcs activated on change, round cap opts.max_rounds), the same
-// smallest-arc-id tie break in the candidate scan, the same transitive
-// witness invalidation, and the same canonical witness-forest rebuild.
-// Columns never read each other's state, so running them in lockstep over a
-// shared arc visit changes only the memory traffic — each column's
-// trajectory, and therefore its bytes, is exactly the standalone solver's.
+// The table runs in one of two modes. Boxed, every destination is a
+// dyn::Column — the dyn Bellman engine's own per-column code — over the
+// table's single DynNet. Flat (batched), the passes below mirror that
+// column *per lane*: the same Gauss–Seidel worklist (frontier ascending each
+// round, tails of all in-arcs activated on change, round cap
+// dyn::kMaxRounds), the same smallest-arc-id tie break in the candidate
+// scan, the same transitive witness invalidation, and the same
+// dyn::canonical_forest. Columns never read each other's state, so running
+// them in lockstep over a shared arc visit changes only the memory traffic —
+// each column's trajectory, and therefore its bytes, is exactly the
+// standalone solver's.
 struct RibSolver::Impl {
   OrderTransform alg;
   const compile::WeightEngine* weng = nullptr;
-  RibOptions opts;
 
   DynNet dnet;
   Value origin;
@@ -65,14 +68,10 @@ struct RibSolver::Impl {
   std::size_t stride = 0;  // words per weight (flat)
   std::vector<std::uint64_t> origin_w;
 
-  // Shared alive-mask: one byte per arc id, refreshed once per topology
-  // version and read by every column of every block.
-  std::vector<std::uint8_t> alive;
-
-  // One destination block: up to kBlockCols columns over shared per-node
-  // masks. Flat state is column-major within a node-major row — the words of
-  // node v's `cols` columns are contiguous, which is what lets one arc visit
-  // stream the whole block through apply_block.
+  // One destination block (flat mode): up to kBlockCols columns over shared
+  // per-node masks. State is column-major within a node-major row — the
+  // words of node v's `cols` columns are contiguous, which is what lets one
+  // arc visit stream the whole block through apply_block.
   struct Block {
     int base = 0;
     int cols = 0;
@@ -81,17 +80,19 @@ struct RibSolver::Impl {
     // destinations that array cost n bytes per block (n²/8 total, 12.5 MB at
     // 10k nodes); eight compares per frontier visit recover the same mask.
     int dest[kBlockCols] = {-1, -1, -1, -1, -1, -1, -1, -1};
-    // flat storage
     std::vector<std::uint64_t> w;        // n * cols * stride (zero-init; rows
                                          // only ever hold valid encodings)
     std::vector<std::uint8_t> present;   // n, bit l = column routed
-    // shared (flat + boxed)
     std::vector<int> next;               // n * cols witness arcs (-1 = none)
-    // boxed fallback storage, per lane
-    std::vector<std::vector<std::optional<Value>>> bw;  // cols × n
   };
   std::vector<Block> blocks;
-  int bwidth = kBlockCols;
+
+  // One column per destination. Boxed, column[c] is the column's whole
+  // state. Flat, column[c].converged is lane c's flag and column[c].r caches
+  // the lane as decoded by routing() (current while rvalid[c]) — hence
+  // mutable.
+  mutable std::vector<dyn::Column> column;
+  mutable std::vector<std::uint8_t> rvalid;
 
   std::uint8_t destmask_of(const Block& blk, int u) const {
     std::uint8_t m = 0;
@@ -102,8 +103,8 @@ struct RibSolver::Impl {
   }
 
   // Shared per-thread scratch arena: every dense all-|V| temporary the block
-  // passes need (frontier masks, invalidation state, boxed queues) lives
-  // here once per thread instead of being allocated per block per update.
+  // passes need (frontier masks, invalidation state) lives here once per
+  // thread instead of being allocated per block per update.
   // The qmask/inv arrays rely on a consume-what-you-set discipline — every
   // pass that sets bits clears them before returning — so blocks on the
   // same thread reuse them without an O(n) wipe.
@@ -114,8 +115,6 @@ struct RibSolver::Impl {
     std::vector<std::pair<int, std::uint8_t>> stack;
     std::vector<int> killed;  // nodes holding inv bits this pass
     std::vector<int> seeded;  // nodes holding qmask bits this pass
-    std::vector<char> queued;            // boxed relax bookkeeping
-    std::vector<int> bfrontier, bnextf;  // boxed relax worklists
     void ensure(std::size_t n) {
       if (qmask.size() != n) {
         qmask.assign(n, 0);
@@ -139,29 +138,13 @@ struct RibSolver::Impl {
     std::vector<std::pair<int, std::uint8_t>> seeds;
   };
 
-  std::vector<std::uint8_t> col_conv;
   RibStats stats;
   std::uint32_t jstream = 0;
 
-  mutable std::vector<Routing> rcache;
-  mutable std::vector<std::uint8_t> rvalid;
-
-  Impl(const OrderTransform& a, const compile::WeightEngine* e, RibOptions o)
-      : alg(a), weng(e), opts(o) {
-    if (opts.block < 1) opts.block = 1;
-    if (opts.block > kBlockCols) opts.block = kBlockCols;
-    if (opts.max_rounds < 1) opts.max_rounds = 1;
-  }
+  Impl(const OrderTransform& a, const compile::WeightEngine* e)
+      : alg(a), weng(e) {}
 
   int columns() const { return static_cast<int>(dsts.size()); }
-
-  void refresh_alive() {
-    const int m = dnet.graph().num_arcs();
-    alive.assign(static_cast<std::size_t>(m), 0);
-    for (int id = 0; id < m; ++id) {
-      alive[static_cast<std::size_t>(id)] = dnet.arc_alive(id) ? 1 : 0;
-    }
-  }
 
   std::uint64_t* row(Block& blk, int v) {
     return blk.w.data() +
@@ -170,13 +153,8 @@ struct RibSolver::Impl {
   }
 
   void clear_route(Block& blk, int v, int l) {
-    const std::uint8_t bit = static_cast<std::uint8_t>(1u << l);
-    if (flat) {
-      blk.present[static_cast<std::size_t>(v)] &= static_cast<std::uint8_t>(~bit);
-    } else {
-      blk.bw[static_cast<std::size_t>(l)][static_cast<std::size_t>(v)] =
-          std::nullopt;
-    }
+    blk.present[static_cast<std::size_t>(v)] &=
+        static_cast<std::uint8_t>(~(1u << l));
     blk.next[static_cast<std::size_t>(v) * static_cast<std::size_t>(blk.cols) +
              static_cast<std::size_t>(l)] = -1;
   }
@@ -232,6 +210,7 @@ struct RibSolver::Impl {
     const Digraph& g = dnet.graph();
     const CsrAdjacency& out = g.csr_out();
     const CsrAdjacency& in = g.csr_in();
+    const std::uint8_t* alive = dnet.alive().data();
     const compile::CompiledAlgebra& ca = cnet.algebra();
     const int cols = blk.cols;
     const std::size_t rowlen = static_cast<std::size_t>(cols) * stride;
@@ -317,7 +296,7 @@ struct RibSolver::Impl {
     std::uint8_t capped = 0;
     int rounds = 0;
     while (!frontier.empty()) {
-      if (++rounds > opts.max_rounds) {
+      if (++rounds > dyn::kMaxRounds) {
         for (int u : frontier) {
           capped |= qmask[static_cast<std::size_t>(u)];
           qmask[static_cast<std::size_t>(u)] = 0;
@@ -339,7 +318,7 @@ struct RibSolver::Impl {
         if (scan != 0) {
           for (int e = out.begin(u); e < out.end(u); ++e) {
             const int id = out.arc[static_cast<std::size_t>(e)];
-            if (!alive[static_cast<std::size_t>(id)]) continue;
+            if (!alive[id]) continue;
             const int v = out.head[static_cast<std::size_t>(e)];
             if (v == u) continue;
             const std::uint8_t need =
@@ -427,253 +406,55 @@ struct RibSolver::Impl {
     return capped;
   }
 
-  /// Canonical witness-forest rebuild of one flat lane (the standalone
-  /// engine's rebuild_witnesses, on words).
+  /// dyn::canonical_forest's lane over lane l of a flat block. The fused
+  /// apply_if_equiv checks a witness and, on Equiv, writes the candidate
+  /// into the lane (canonicalizing the stored weight to the achieved
+  /// encoding) in one call.
+  struct FlatLane {
+    const compile::CompiledNet& cnet;
+    const compile::CompiledAlgebra& ca;
+    const std::uint64_t* origin_w;
+    std::uint64_t* W;  // lane l's words of node v at W + v * rowlen
+    std::uint8_t* P;
+    int* NX;           // lane l's witness of node v at NX[v * cols]
+    std::size_t rowlen, cols, wbytes;
+    std::uint8_t bit;
+
+    bool routed(int v) const {
+      return (P[static_cast<std::size_t>(v)] & bit) != 0;
+    }
+    void attach_origin(int v) {
+      std::memcpy(W + static_cast<std::size_t>(v) * rowlen, origin_w, wbytes);
+      NX[static_cast<std::size_t>(v) * cols] = -1;
+    }
+    bool attach_if_equiv(int u, int arc, int h) {
+      if (!ca.apply_if_equiv(cnet.label(arc),
+                             W + static_cast<std::size_t>(h) * rowlen,
+                             W + static_cast<std::size_t>(u) * rowlen)) {
+        return false;
+      }
+      NX[static_cast<std::size_t>(u) * cols] = arc;
+      return true;
+    }
+    void clear(int v) {
+      P[static_cast<std::size_t>(v)] &= static_cast<std::uint8_t>(~bit);
+      NX[static_cast<std::size_t>(v) * cols] = -1;
+    }
+  };
+
   void flat_rebuild(Block& blk, int l, std::uint64_t& relaxations) {
-    const int n = dnet.num_nodes();
-    const Digraph& g = dnet.graph();
-    const CsrAdjacency& out = g.csr_out();
-    const CsrAdjacency& in = g.csr_in();
-    const compile::CompiledAlgebra& ca = cnet.algebra();
-    const int cols = blk.cols;
-    const std::size_t rowlen = static_cast<std::size_t>(cols) * stride;
-    const std::size_t loff = static_cast<std::size_t>(l) * stride;
-    const std::size_t wbytes = stride * sizeof(std::uint64_t);
-    const std::uint8_t bit = static_cast<std::uint8_t>(1u << l);
-    const int dest = dsts[static_cast<std::size_t>(blk.base + l)];
-    std::uint64_t* W = blk.w.data();
-    std::uint8_t* P = blk.present.data();
-    int* NX = blk.next.data();
-    // Per-thread scratch (one rebuild per lane per converged update; lanes on
-    // one thread never nest), reused to keep malloc out of the rebuild loop.
-    thread_local std::vector<char> attached;
-    attached.assign(static_cast<std::size_t>(n), 0);
-    if (dnet.node_up(dest) && (P[static_cast<std::size_t>(dest)] & bit) != 0) {
-      std::memcpy(W + static_cast<std::size_t>(dest) * rowlen + loff,
-                  origin_w.data(), wbytes);
-      NX[static_cast<std::size_t>(dest) * static_cast<std::size_t>(cols) +
-         static_cast<std::size_t>(l)] = -1;
-      attached[static_cast<std::size_t>(dest)] = 1;
-      thread_local std::vector<int> frontier;
-      thread_local std::vector<int> cands;
-      thread_local std::vector<int> nextf;
-      thread_local std::vector<char> in_cands;
-      if (in_cands.size() < static_cast<std::size_t>(n)) {
-        in_cands.assign(static_cast<std::size_t>(n), 0);
-      }
-      frontier.assign(1, dest);
-      while (!frontier.empty()) {
-        // Collect this layer's candidates deduplicated on the fly (a node
-        // adjacent to several frontier members would otherwise be pushed —
-        // and sorted — once per in-arc). The flags are wiped per layer by
-        // walking the candidate list, so the array stays O(n) once.
-        cands.clear();
-        for (int v : frontier) {
-          for (int e = in.begin(v); e < in.end(v); ++e) {
-            const int id = in.arc[static_cast<std::size_t>(e)];
-            if (!alive[static_cast<std::size_t>(id)]) continue;
-            const int u = in.head[static_cast<std::size_t>(e)];
-            if (!attached[static_cast<std::size_t>(u)] &&
-                !in_cands[static_cast<std::size_t>(u)] && dnet.node_up(u) &&
-                (P[static_cast<std::size_t>(u)] & bit) != 0) {
-              in_cands[static_cast<std::size_t>(u)] = 1;
-              cands.push_back(u);
-            }
-          }
-        }
-        for (int u : cands) in_cands[static_cast<std::size_t>(u)] = 0;
-        std::sort(cands.begin(), cands.end());
-        nextf.clear();
-        for (int u : cands) {
-          std::uint64_t* wu = W + static_cast<std::size_t>(u) * rowlen + loff;
-          for (int e = out.begin(u); e < out.end(u); ++e) {
-            const int id = out.arc[static_cast<std::size_t>(e)];
-            if (!alive[static_cast<std::size_t>(id)]) continue;
-            const int h = out.head[static_cast<std::size_t>(e)];
-            if (h == u || !attached[static_cast<std::size_t>(h)]) continue;
-            ++relaxations;
-            // Fused witness check: on Equiv the candidate is written into
-            // the lane (canonicalizing the stored weight to the achieved
-            // encoding), exactly as the unfused apply/compare/copy did.
-            if (ca.apply_if_equiv(
-                    cnet.label(id),
-                    W + static_cast<std::size_t>(h) * rowlen + loff, wu)) {
-              NX[static_cast<std::size_t>(u) * static_cast<std::size_t>(cols) +
-                 static_cast<std::size_t>(l)] = id;
-              nextf.push_back(u);
-              break;
-            }
-          }
-        }
-        for (int u : nextf) attached[static_cast<std::size_t>(u)] = 1;
-        frontier.swap(nextf);
-      }
-    }
-    for (int v = 0; v < n; ++v) {
-      if (!attached[static_cast<std::size_t>(v)]) clear_route(blk, v, l);
-    }
-  }
-
-  // --- boxed fallback (per-lane loops, byte-identical) ----------------------
-
-  std::uint8_t boxed_relax(Block& blk, std::vector<std::uint8_t>& qmask,
-                           std::vector<std::uint8_t>& touched,
-                           std::uint64_t& relaxations) {
-    const int n = dnet.num_nodes();
-    const Digraph& g = dnet.graph();
-    const CsrAdjacency& out = g.csr_out();
-    const CsrAdjacency& in = g.csr_in();
-    std::uint8_t capped = 0;
-    // Per-thread worklist state from the shared arena — the per-lane queue
-    // flags and both frontiers were previously allocated per lane (and the
-    // next-frontier once per round).
-    Scratch& s = scratch();
-    for (int l = 0; l < blk.cols; ++l) {
-      const std::uint8_t bit = static_cast<std::uint8_t>(1u << l);
-      const int dest = dsts[static_cast<std::size_t>(blk.base + l)];
-      auto& wcol = blk.bw[static_cast<std::size_t>(l)];
-      s.queued.assign(static_cast<std::size_t>(n), 0);
-      std::vector<int>& frontier = s.bfrontier;
-      std::vector<int>& nextf = s.bnextf;
-      frontier.clear();
-      for (int v = 0; v < n; ++v) {
-        if ((qmask[static_cast<std::size_t>(v)] & bit) != 0) {
-          s.queued[static_cast<std::size_t>(v)] = 1;
-          frontier.push_back(v);
-        }
-      }
-      int rounds = 0;
-      while (!frontier.empty()) {
-        if (++rounds > opts.max_rounds) {
-          capped |= bit;
-          frontier.clear();
-          break;
-        }
-        std::sort(frontier.begin(), frontier.end());
-        for (int u : frontier) s.queued[static_cast<std::size_t>(u)] = 0;
-        nextf.clear();
-        auto activate = [&](int x) {
-          if (dnet.node_up(x) && !s.queued[static_cast<std::size_t>(x)]) {
-            s.queued[static_cast<std::size_t>(x)] = 1;
-            nextf.push_back(x);
-          }
-        };
-        for (int u : frontier) {
-          touched[static_cast<std::size_t>(u)] |= bit;
-          bool changed = false;
-          auto& wu = wcol[static_cast<std::size_t>(u)];
-          if (u == dest) {
-            changed = !wu || !(*wu == origin);
-            if (changed) {
-              wu = origin;
-              blk.next[static_cast<std::size_t>(u) *
-                           static_cast<std::size_t>(blk.cols) +
-                       static_cast<std::size_t>(l)] = -1;
-            }
-          } else {
-            std::optional<Value> bestw;
-            int besta = -1;
-            for (int e = out.begin(u); e < out.end(u); ++e) {
-              const int id = out.arc[static_cast<std::size_t>(e)];
-              if (!alive[static_cast<std::size_t>(id)]) continue;
-              const int v = out.head[static_cast<std::size_t>(e)];
-              if (v == u) continue;
-              const auto& wv = wcol[static_cast<std::size_t>(v)];
-              if (!wv) continue;
-              ++relaxations;
-              Value c = alg.fns->apply(dnet.label(id), *wv);
-              if (!bestw || lt_of(alg.ord->cmp(c, *bestw))) {
-                bestw = std::move(c);
-                besta = id;
-              }
-            }
-            changed = (bestw.has_value() != wu.has_value()) ||
-                      (bestw && !(*bestw == *wu));
-            if (changed) {
-              wu = std::move(bestw);
-              blk.next[static_cast<std::size_t>(u) *
-                           static_cast<std::size_t>(blk.cols) +
-                       static_cast<std::size_t>(l)] = besta;
-            }
-          }
-          if (changed) {
-            for (int e = in.begin(u); e < in.end(u); ++e) {
-              activate(in.head[static_cast<std::size_t>(e)]);
-            }
-          }
-        }
-        frontier.swap(nextf);
-      }
-      // Leave qmask clean for a retry pass.
-      for (int v = 0; v < n; ++v) {
-        qmask[static_cast<std::size_t>(v)] &= static_cast<std::uint8_t>(~bit);
-      }
-    }
-    return capped;
-  }
-
-  void boxed_rebuild(Block& blk, int l, std::uint64_t& relaxations) {
-    const int n = dnet.num_nodes();
-    const Digraph& g = dnet.graph();
-    const CsrAdjacency& out = g.csr_out();
-    const CsrAdjacency& in = g.csr_in();
-    const std::uint8_t bit = static_cast<std::uint8_t>(1u << l);
-    (void)bit;
-    const int dest = dsts[static_cast<std::size_t>(blk.base + l)];
-    auto& wcol = blk.bw[static_cast<std::size_t>(l)];
-    std::vector<char> attached(static_cast<std::size_t>(n), 0);
-    if (dnet.node_up(dest) && wcol[static_cast<std::size_t>(dest)]) {
-      wcol[static_cast<std::size_t>(dest)] = origin;
-      blk.next[static_cast<std::size_t>(dest) *
-                   static_cast<std::size_t>(blk.cols) +
-               static_cast<std::size_t>(l)] = -1;
-      attached[static_cast<std::size_t>(dest)] = 1;
-      std::vector<int> frontier{dest};
-      std::vector<int> cands;
-      std::vector<int> nextf;
-      while (!frontier.empty()) {
-        cands.clear();
-        for (int v : frontier) {
-          for (int e = in.begin(v); e < in.end(v); ++e) {
-            const int id = in.arc[static_cast<std::size_t>(e)];
-            if (!alive[static_cast<std::size_t>(id)]) continue;
-            const int u = in.head[static_cast<std::size_t>(e)];
-            if (!attached[static_cast<std::size_t>(u)] && dnet.node_up(u) &&
-                wcol[static_cast<std::size_t>(u)]) {
-              cands.push_back(u);
-            }
-          }
-        }
-        std::sort(cands.begin(), cands.end());
-        cands.erase(std::unique(cands.begin(), cands.end()), cands.end());
-        nextf.clear();
-        for (int u : cands) {
-          for (int e = out.begin(u); e < out.end(u); ++e) {
-            const int id = out.arc[static_cast<std::size_t>(e)];
-            if (!alive[static_cast<std::size_t>(id)]) continue;
-            const int h = out.head[static_cast<std::size_t>(e)];
-            if (h == u || !attached[static_cast<std::size_t>(h)]) continue;
-            ++relaxations;
-            Value c = alg.fns->apply(dnet.label(id),
-                                     *wcol[static_cast<std::size_t>(h)]);
-            if (equiv_of(
-                    alg.ord->cmp(c, *wcol[static_cast<std::size_t>(u)]))) {
-              wcol[static_cast<std::size_t>(u)] = std::move(c);
-              blk.next[static_cast<std::size_t>(u) *
-                           static_cast<std::size_t>(blk.cols) +
-                       static_cast<std::size_t>(l)] = id;
-              nextf.push_back(u);
-              break;
-            }
-          }
-        }
-        for (int u : nextf) attached[static_cast<std::size_t>(u)] = 1;
-        frontier.swap(nextf);
-      }
-    }
-    for (int v = 0; v < n; ++v) {
-      if (!attached[static_cast<std::size_t>(v)]) clear_route(blk, v, l);
-    }
+    const std::size_t cols = static_cast<std::size_t>(blk.cols);
+    FlatLane lane{cnet,
+                  cnet.algebra(),
+                  origin_w.data(),
+                  blk.w.data() + static_cast<std::size_t>(l) * stride,
+                  blk.present.data(),
+                  blk.next.data() + l,
+                  cols * stride,
+                  cols,
+                  stride * sizeof(std::uint64_t),
+                  static_cast<std::uint8_t>(1u << l)};
+    dyn::canonical_forest(dnet, blk.dest[l], lane, relaxations);
   }
 
   // --- shared invalidation / seeding ----------------------------------------
@@ -752,7 +533,7 @@ struct RibSolver::Impl {
       plan.coldm = all;
     } else {
       for (int l = 0; l < cols; ++l) {
-        if (!col_conv[static_cast<std::size_t>(blk.base + l)]) {
+        if (!column[static_cast<std::size_t>(blk.base + l)].converged) {
           plan.coldm |= static_cast<std::uint8_t>(1u << l);
         }
       }
@@ -789,21 +570,6 @@ struct RibSolver::Impl {
 
   // --- per-block driver ------------------------------------------------------
 
-  std::uint8_t relax(Block& blk, std::vector<std::uint8_t>& qmask,
-                     std::vector<std::uint8_t>& touched,
-                     std::uint64_t& relaxations, bool ivec) {
-    return flat ? flat_relax(blk, qmask, touched, relaxations, ivec)
-                : boxed_relax(blk, qmask, touched, relaxations);
-  }
-
-  void rebuild(Block& blk, int l, std::uint64_t& relaxations) {
-    if (flat) {
-      flat_rebuild(blk, l, relaxations);
-    } else {
-      boxed_rebuild(blk, l, relaxations);
-    }
-  }
-
   /// Phase 2: runs one planned block — seed the frontier from the plan,
   /// relax every lane in lockstep, retry capped warm lanes cold with a fresh
   /// round budget (the standalone update()'s run_cold() fallback), and
@@ -818,7 +584,7 @@ struct RibSolver::Impl {
     // blocks run on slot-major rows so the SIMD select kernel is gather-free
     // end to end. The one-off reshape amortizes only when whole lanes
     // rebuild; warm-only relaxes keep the lane-major layout untouched.
-    const bool ivec = flat && stride > 1 && cols == kBlockCols &&
+    const bool ivec = stride > 1 && cols == kBlockCols &&
                       coldm != 0 && compile::simd::enabled() &&
                       cnet.algebra().lex_flat();
     Scratch& s = scratch();
@@ -839,8 +605,8 @@ struct RibSolver::Impl {
       }
     }
     if (ivec) reshape_block(blk, /*to_slot_major=*/true);
-    const std::uint8_t capped = relax(blk, s.qmask, s.touched, relaxations,
-                                      ivec);
+    const std::uint8_t capped =
+        flat_relax(blk, s.qmask, s.touched, relaxations, ivec);
 
     const std::uint8_t retry = capped & warmm;
     std::uint8_t capped2 = 0;
@@ -856,7 +622,7 @@ struct RibSolver::Impl {
               static_cast<std::uint8_t>(1u << l);
         }
       }
-      capped2 = relax(blk, s.qmask, s.touched, relaxations, ivec);
+      capped2 = flat_relax(blk, s.qmask, s.touched, relaxations, ivec);
     }
     if (ivec) reshape_block(blk, /*to_slot_major=*/false);
     const std::uint8_t final_cold = coldm | retry;
@@ -866,9 +632,8 @@ struct RibSolver::Impl {
     for (int l = 0; l < cols; ++l) {
       const std::uint8_t bit = static_cast<std::uint8_t>(1u << l);
       const bool conv = (unconv & bit) == 0;
-      col_conv[static_cast<std::size_t>(blk.base + l)] =
-          conv ? 1 : 0;
-      if (conv) rebuild(blk, l, relaxations);
+      column[static_cast<std::size_t>(blk.base + l)].converged = conv;
+      if (conv) flat_rebuild(blk, l, relaxations);
       if ((final_cold & bit) != 0) {
         stats.affected[static_cast<std::size_t>(blk.base + l)] = n;
       } else {
@@ -912,8 +677,52 @@ struct RibSolver::Impl {
       stats.relaxations += relax_pb[b];
       stats.cold_columns += cold_pb[b];
     }
+  }
+
+  /// The boxed table pass: each column runs the dyn Bellman engine's own
+  /// update protocol — warm from the delta, or cold when forced, previously
+  /// unconverged, or when the warm pass hits the round cap — over the shared
+  /// DynNet. Columns own disjoint state and write disjoint stats slots, and
+  /// per-column accumulators merge in column order: bit-identical at any
+  /// thread count.
+  void run_columns(const DynNet::Applied* ap, bool cold_all) {
+    const int n = dnet.num_nodes();
+    const std::size_t nc = column.size();
+    std::vector<std::uint64_t> relax_pc(nc, 0);
+    std::vector<std::uint8_t> cold_pc(nc, 0);
+    par::parallel_for(nc, 1, [&](std::size_t c0, std::size_t c1) {
+      for (std::size_t c = c0; c < c1; ++c) {
+        dyn::Column& col = column[c];
+        const dyn::Column::Env env{dnet, alg, dsts[c], origin};
+        bool cold = ap == nullptr || cold_all || !col.converged;
+        int affected = n;
+        if (!cold) {
+          affected = col.warm(env, *ap, relax_pc[c]);
+          cold = !col.converged;
+        }
+        if (cold) {
+          col.solve(env, relax_pc[c]);
+          affected = n;
+        }
+        stats.affected[c] = affected;
+        cold_pc[c] = cold ? 1 : 0;
+      }
+    });
+    for (std::size_t c = 0; c < nc; ++c) {
+      stats.relaxations += relax_pc[c];
+      stats.cold_columns += cold_pc[c];
+    }
+  }
+
+  /// One table pass in the active mode; `ap` is null for the cold bind.
+  void run(const DynNet::Applied* ap, bool cold_all) {
+    if (flat) {
+      run_all_blocks(ap, cold_all);
+    } else {
+      run_columns(ap, cold_all);
+    }
     stats.cold = stats.cold_columns == stats.columns;
-    rvalid.assign(static_cast<std::size_t>(columns()), 0);
+    rvalid.assign(column.size(), 0);
   }
 
   // --- stats / journal -------------------------------------------------------
@@ -944,59 +753,41 @@ struct RibSolver::Impl {
                                            100.0));
   }
 
-  /// The standalone journal_delta(), once per table (not per column): the
-  /// RIB emits aggregate flight-recorder records on its own stream; per-node
-  /// provenance stays with the single-destination solvers.
-  void journal_delta(const TopologyDelta& delta, const DynNet::Applied& ap) {
-    if (!obs::journal_enabled()) return;
-    obs::jrecord(Subsystem::Dyn, EventKind::UpdateBegin, jstream, -1, -1,
-                 static_cast<std::int64_t>(delta.ops.size()), dnet.version());
-    for (int id : ap.changed_arcs) {
-      const bool relabeled = std::binary_search(ap.relabeled_arcs.begin(),
-                                                ap.relabeled_arcs.end(), id);
-      obs::jrecord(Subsystem::Dyn,
-                   relabeled ? EventKind::DeltaRelabel : EventKind::DeltaArc,
-                   jstream, dnet.graph().arc(id).src, id,
-                   dnet.arc_alive(id) ? 1 : 0, dnet.version());
-    }
-    for (int v : ap.nodes_down) {
-      obs::jrecord(Subsystem::Dyn, EventKind::DeltaNodeDown, jstream, v, -1,
-                   0, dnet.version());
-    }
-    for (int v : ap.nodes_up) {
-      obs::jrecord(Subsystem::Dyn, EventKind::DeltaNodeUp, jstream, v, -1, 0,
-                   dnet.version());
-    }
-  }
-
   // --- demotion ---------------------------------------------------------------
 
-  /// A relabel pushed the network off the compiled path (a label outside the
-  /// family's range): materialize every flat lane into boxed storage — the
-  /// stored words decode losslessly, so not a byte of the table changes —
-  /// and continue on the per-lane fallback.
-  void demote_to_boxed() {
-    const compile::CompiledAlgebra& ca = cnet.algebra();
+  /// Decodes flat lane c into column[c].r — the cache routing() serves.
+  void decode_lane(int c) const {
+    const Block& blk = blocks[static_cast<std::size_t>(c / kBlockCols)];
+    const int l = c % kBlockCols;
     const int n = dnet.num_nodes();
-    for (Block& blk : blocks) {
-      const std::size_t rowlen = static_cast<std::size_t>(blk.cols) * stride;
-      blk.bw.assign(static_cast<std::size_t>(blk.cols),
-                    std::vector<std::optional<Value>>(
-                        static_cast<std::size_t>(n)));
-      for (int v = 0; v < n; ++v) {
-        const std::uint8_t p = blk.present[static_cast<std::size_t>(v)];
-        for (unsigned mm = p; mm != 0; mm &= mm - 1) {
-          const int l = ctz8(mm);
-          blk.bw[static_cast<std::size_t>(l)][static_cast<std::size_t>(v)] =
-              ca.decode(blk.w.data() + static_cast<std::size_t>(v) * rowlen +
-                        static_cast<std::size_t>(l) * stride);
-        }
+    const compile::CompiledAlgebra& ca = cnet.algebra();
+    const std::size_t rowlen = static_cast<std::size_t>(blk.cols) * stride;
+    Routing& r = column[static_cast<std::size_t>(c)].r;
+    r.weight.assign(static_cast<std::size_t>(n), std::nullopt);
+    r.next_arc.assign(static_cast<std::size_t>(n), -1);
+    for (int v = 0; v < n; ++v) {
+      const std::size_t vi = static_cast<std::size_t>(v);
+      if ((blk.present[vi] & (1u << l)) != 0) {
+        r.weight[vi] = ca.decode(blk.w.data() + vi * rowlen +
+                                 static_cast<std::size_t>(l) * stride);
       }
-      blk.w.clear();
-      blk.w.shrink_to_fit();
-      blk.present.clear();
-      blk.present.shrink_to_fit();
+      r.next_arc[vi] =
+          blk.next[vi * static_cast<std::size_t>(blk.cols) +
+                   static_cast<std::size_t>(l)];
     }
+    rvalid[static_cast<std::size_t>(c)] = 1;
+  }
+
+  /// A relabel pushed the network off the compiled path (a label outside the
+  /// family's range): decode every flat lane into its column — the stored
+  /// words decode losslessly, so not a byte of the table changes — and
+  /// continue in boxed mode.
+  void demote_to_boxed() {
+    for (int c = 0; c < columns(); ++c) {
+      if (!rvalid[static_cast<std::size_t>(c)]) decode_lane(c);
+    }
+    blocks.clear();
+    blocks.shrink_to_fit();
     flat = false;
     if (obs::enabled()) obs::counter("dyn.rib.flat_demotions").add(1);
   }
@@ -1031,31 +822,23 @@ struct RibSolver::Impl {
     }
 
     const int n = dnet.num_nodes();
-    bwidth = opts.block;
     const int total = columns();
+    column.assign(static_cast<std::size_t>(total), dyn::Column{});
+    rvalid.assign(static_cast<std::size_t>(total), 0);
     blocks.clear();
-    for (int base = 0; base < total; base += bwidth) {
+    for (int base = 0; flat && base < total; base += kBlockCols) {
       Block blk;
       blk.base = base;
-      blk.cols = std::min(bwidth, total - base);
+      blk.cols = std::min(kBlockCols, total - base);
       const std::size_t ncols = static_cast<std::size_t>(blk.cols);
       blk.next.assign(static_cast<std::size_t>(n) * ncols, -1);
       for (int l = 0; l < blk.cols; ++l) {
         blk.dest[l] = dsts[static_cast<std::size_t>(base + l)];
       }
-      if (flat) {
-        blk.w.assign(static_cast<std::size_t>(n) * ncols * stride, 0);
-        blk.present.assign(static_cast<std::size_t>(n), 0);
-      } else {
-        blk.bw.assign(ncols, std::vector<std::optional<Value>>(
-                                 static_cast<std::size_t>(n)));
-      }
+      blk.w.assign(static_cast<std::size_t>(n) * ncols * stride, 0);
+      blk.present.assign(static_cast<std::size_t>(n), 0);
       blocks.push_back(std::move(blk));
     }
-    col_conv.assign(static_cast<std::size_t>(total), 0);
-    rcache.assign(static_cast<std::size_t>(total), Routing{});
-    rvalid.assign(static_cast<std::size_t>(total), 0);
-    refresh_alive();
     // Build the CSR views once, outside the parallel region.
     dnet.graph().csr_out();
     dnet.graph().csr_in();
@@ -1070,7 +853,7 @@ struct RibSolver::Impl {
     obs::jrecord(Subsystem::Dyn, EventKind::SolveBegin, jstream, -1, -1,
                  static_cast<std::int64_t>(columns()), dnet.version());
     begin_stats(/*cold=*/true, 0);
-    run_all_blocks(nullptr, /*cold_all=*/true);
+    run(nullptr, /*cold_all=*/true);
     finish_stats();
     obs::jrecord(Subsystem::Dyn, EventKind::UpdateEnd, jstream, -1, -1,
                  -stats.affected_total(), dnet.version());
@@ -1083,7 +866,10 @@ struct RibSolver::Impl {
         obs::registry().histogram("dyn.rib.update_ns");
     obs::ScopedTimer timer(update_ns);
     const DynNet::Applied ap = dnet.apply(delta);
-    journal_delta(delta, ap);
+    // Once per table (not per column): the RIB emits aggregate flight-
+    // recorder records on its own stream; per-node provenance stays with
+    // the single-destination solvers.
+    dyn::journal_delta(jstream, dnet, delta, ap);
     // Delta-aware re-encoding, as in the standalone engines; if a relabel
     // pushes the network off the compiled path, the table demotes to boxed.
     if (weng != nullptr) {
@@ -1095,8 +881,7 @@ struct RibSolver::Impl {
       finish_stats();
       return;
     }
-    refresh_alive();
-    run_all_blocks(&ap, /*cold_all=*/!dyn::enabled());
+    run(&ap, /*cold_all=*/!dyn::enabled());
     finish_stats();
     obs::jrecord(Subsystem::Dyn, EventKind::UpdateEnd, jstream, -1, -1,
                  stats.cold ? -stats.affected_total()
@@ -1106,49 +891,14 @@ struct RibSolver::Impl {
 
   const Routing& routing(int c) const {
     MRT_REQUIRE(bound && c >= 0 && c < columns());
-    if (!rvalid[static_cast<std::size_t>(c)]) {
-      const Block& blk = blocks[static_cast<std::size_t>(c / bwidth)];
-      const int l = c % bwidth;
-      const int n = dnet.num_nodes();
-      Routing& r = rcache[static_cast<std::size_t>(c)];
-      r.weight.assign(static_cast<std::size_t>(n), std::nullopt);
-      r.next_arc.assign(static_cast<std::size_t>(n), -1);
-      if (flat) {
-        const compile::CompiledAlgebra& ca = cnet.algebra();
-        const std::size_t rowlen =
-            static_cast<std::size_t>(blk.cols) * stride;
-        const std::uint8_t bit = static_cast<std::uint8_t>(1u << l);
-        for (int v = 0; v < n; ++v) {
-          if ((blk.present[static_cast<std::size_t>(v)] & bit) != 0) {
-            r.weight[static_cast<std::size_t>(v)] =
-                ca.decode(blk.w.data() + static_cast<std::size_t>(v) * rowlen +
-                          static_cast<std::size_t>(l) * stride);
-          }
-          r.next_arc[static_cast<std::size_t>(v)] =
-              blk.next[static_cast<std::size_t>(v) *
-                           static_cast<std::size_t>(blk.cols) +
-                       static_cast<std::size_t>(l)];
-        }
-      } else {
-        const auto& wcol = blk.bw[static_cast<std::size_t>(l)];
-        for (int v = 0; v < n; ++v) {
-          r.weight[static_cast<std::size_t>(v)] =
-              wcol[static_cast<std::size_t>(v)];
-          r.next_arc[static_cast<std::size_t>(v)] =
-              blk.next[static_cast<std::size_t>(v) *
-                           static_cast<std::size_t>(blk.cols) +
-                       static_cast<std::size_t>(l)];
-        }
-      }
-      rvalid[static_cast<std::size_t>(c)] = 1;
-    }
-    return rcache[static_cast<std::size_t>(c)];
+    if (flat && !rvalid[static_cast<std::size_t>(c)]) decode_lane(c);
+    return column[static_cast<std::size_t>(c)].r;
   }
 };
 
 RibSolver::RibSolver(const OrderTransform& alg,
-                     const compile::WeightEngine* engine, RibOptions opts)
-    : impl_(std::make_unique<Impl>(alg, engine, opts)) {}
+                     const compile::WeightEngine* engine)
+    : impl_(std::make_unique<Impl>(alg, engine)) {}
 
 RibSolver::~RibSolver() = default;
 
@@ -1187,15 +937,15 @@ const Routing& RibSolver::routing(int column) const {
 }
 
 bool RibSolver::converged() const {
-  for (std::uint8_t c : impl_->col_conv) {
-    if (!c) return false;
+  for (const dyn::Column& c : impl_->column) {
+    if (!c.converged) return false;
   }
   return true;
 }
 
 bool RibSolver::column_converged(int column) const {
   MRT_REQUIRE(column >= 0 && column < impl_->columns());
-  return impl_->col_conv[static_cast<std::size_t>(column)] != 0;
+  return impl_->column[static_cast<std::size_t>(column)].converged;
 }
 
 const RibStats& RibSolver::last_update() const { return impl_->stats; }

@@ -15,15 +15,17 @@
 // so one worklist pass over the CSR adjacency relaxes every column of a
 // block per arc visit, running the fused label program through
 // CompiledAlgebra::apply_block (one opcode decode for the whole block).
-// Without a compiled engine the solver falls back to boxed per-column loops
-// over the same shared topology state — byte-identical, just unbatched.
+// Without a compiled engine the table is boxed: one dyn::Column per
+// destination — the dyn Bellman engine's own per-column code — over the
+// same single DynNet, byte-identical, just unbatched.
 //
 // The dynamic seams thread straight through: warm updates take a
-// dyn::TopologyDelta, refresh one shared alive-mask, run one transitive
-// witness-invalidation pass over the whole block (per-column kill masks),
-// and re-relax each column from its own seed frontier; mrt::par chunks the
-// destination blocks across workers under the bit-identical-at-any-
-// thread-count contract (blocks are disjoint state, merged in index order).
+// dyn::TopologyDelta, read the DynNet's shared alive mask, run one
+// transitive witness-invalidation pass over the whole block (per-column
+// kill masks), and re-relax each column from its own seed frontier;
+// mrt::par chunks the destination blocks (or boxed columns) across workers
+// under the bit-identical-at-any-thread-count contract (blocks and columns
+// are disjoint state, merged in index order).
 //
 // The correctness contract is differential: every column — cold, and after
 // any delta sequence — is byte-identical to a standalone
@@ -50,10 +52,10 @@ class DeltaStream;
 
 namespace rib {
 
-/// Destination columns per block: wide enough to amortize opcode decode and
-/// fill a cache line of single-word carriers, narrow enough that a block's
-/// working row fits in registers-ish scratch. The per-column bitmasks are
-/// uint8, so this is also a hard ceiling.
+/// Destination columns per flat block: wide enough to amortize opcode decode
+/// and fill a cache line of single-word carriers, narrow enough that a
+/// block's working row fits in registers-ish scratch. The per-column
+/// bitmasks are uint8, so this is also a hard ceiling.
 inline constexpr int kBlockCols = 8;
 
 /// Work accounting of the last solve()/update(), per destination column.
@@ -84,24 +86,19 @@ struct RibStats {
   }
 };
 
-struct RibOptions {
-  int block = kBlockCols;  ///< columns per block, clamped to [1, kBlockCols]
-  int max_rounds = 1000;   ///< per-column worklist cap; matches the dyn
-                           ///< Bellman engine (and BellmanOptions)
-};
-
 /// Batched multi-destination solver. solve() binds (net, dests, origin) and
 /// computes every column cold; update() applies a TopologyDelta and warm-
-/// maintains all columns at once. routing(c) materializes column c as an
-/// ordinary boxed Routing (lazily, cached until the next solve/update).
+/// maintains all columns at once. routing(c) serves column c as an ordinary
+/// boxed Routing: the column itself when boxed, or (flat) the lane decoded
+/// lazily and cached until the next solve/update.
 class RibSolver {
  public:
   /// `engine` (optional, non-owning, must outlive the solver) routes the
   /// batched sweep through the compiled flat kernels; without it — or when
-  /// the algebra does not compile — every column runs the boxed fallback.
+  /// the algebra does not compile — every column runs boxed. Blocks are
+  /// kBlockCols wide; every column's worklist caps at dyn::kMaxRounds.
   explicit RibSolver(const OrderTransform& alg,
-                     const compile::WeightEngine* engine = nullptr,
-                     RibOptions opts = RibOptions{});
+                     const compile::WeightEngine* engine = nullptr);
   ~RibSolver();
   RibSolver(const RibSolver&) = delete;
   RibSolver& operator=(const RibSolver&) = delete;

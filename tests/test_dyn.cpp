@@ -118,6 +118,69 @@ TEST(DynNet, NodeCrashKillsIncidentArcs) {
   EXPECT_FALSE(net.arc_alive(0));
 }
 
+// Validate-then-apply: a batch naming any out-of-range id throws before
+// its first op mutates anything — masks, labels and version stay as they
+// were, and the next valid batch reports its own net effect only.
+TEST(DynNet, InvalidIdRejectsWholeBatch) {
+  dyn::DynNet net(diamond());
+  net.apply(TopologyDelta{}.arc_down(2));
+  EXPECT_THROW(net.apply(TopologyDelta{}.arc_down(0).arc_down(5)),
+               std::logic_error);
+  EXPECT_THROW(net.apply(TopologyDelta{}.relabel(4, I(9)).node_down(4)),
+               std::logic_error);
+  EXPECT_THROW(net.apply(TopologyDelta{}.node_down(1).arc_up(-1)),
+               std::logic_error);
+  EXPECT_THROW(net.apply(TopologyDelta{}.arc_up(2).node_up(-1)),
+               std::logic_error);
+  EXPECT_EQ(net.version(), 1u);
+  for (int a = 0; a < 5; ++a) {
+    EXPECT_EQ(net.arc_admin_up(a), a != 2) << a;
+    EXPECT_EQ(net.arc_alive(a), a != 2) << a;
+  }
+  for (int v = 0; v < 4; ++v) EXPECT_TRUE(net.node_up(v)) << v;
+  EXPECT_EQ(net.label(4), I(5));
+  const auto ap = net.apply(TopologyDelta{}.arc_down(0));
+  EXPECT_EQ(ap.changed_arcs, (std::vector<int>{0}));
+  EXPECT_EQ(net.version(), 2u);
+}
+
+// The alive mask the solvers read is kept by apply() from the arcs it
+// reports changed; it must always equal admin-up ∧ both endpoints up.
+TEST(DynNet, AliveMaskTracksAdminAndCrashState) {
+  Rng rng(0xA11E);
+  dyn::DynNet net(diamond());
+  const Digraph& g = net.graph();
+  for (int b = 0; b < 400; ++b) {
+    TopologyDelta d;
+    const int ops = 1 + static_cast<int>(rng.below(3));
+    for (int i = 0; i < ops; ++i) {
+      const int a = static_cast<int>(rng.below(5));
+      const int v = static_cast<int>(rng.below(4));
+      switch (rng.below(4)) {
+        case 0:
+          d.arc_down(a);
+          break;
+        case 1:
+          d.arc_up(a);
+          break;
+        case 2:
+          d.node_down(v);
+          break;
+        default:
+          d.node_up(v);
+          break;
+      }
+    }
+    net.apply(d);
+    for (int a = 0; a < 5; ++a) {
+      const bool expect = net.arc_admin_up(a) && net.node_up(g.arc(a).src) &&
+                          net.node_up(g.arc(a).dst);
+      ASSERT_EQ(net.alive()[static_cast<std::size_t>(a)] != 0, expect)
+          << "batch " << b << " arc " << a << " " << d.describe();
+    }
+  }
+}
+
 TEST(DynNet, ToStateReproducesMasks) {
   const std::vector<bool> arc_up = {true, false, true, true, false};
   const std::vector<bool> node_up = {true, true, false, true};

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "helpers.hpp"
+#include "reference_forest.hpp"
 #include "mrt/dyn/solver.hpp"
 #include "mrt/graph/generators.hpp"
 #include "mrt/par/par.hpp"
@@ -193,6 +194,10 @@ TEST(DynDifferential, WarmUpdateByteIdenticalToColdAcrossThousandDeltas) {
       expect_identical(warm->routing(), cold->routing(),
                        inst.desc + " batch " + std::to_string(b) + " " +
                            d.describe());
+      // Both sides share one forest implementation; check the definition.
+      mrt::testing::expect_reference_forest(
+          warm->net(), inst.ot, dest, I(0), warm->routing(),
+          inst.desc + " batch " + std::to_string(b));
       // Pre-dyn ground truth: weights of a fresh solve on the renumbered
       // alive subgraph (what the chaos oracles used to run).
       if (warm->net().node_up(dest)) {

@@ -9,7 +9,10 @@
 #include <thread>
 #include <vector>
 
+#include "mrt/core/bases.hpp"
+#include "mrt/graph/generators.hpp"
 #include "mrt/obs/provenance.hpp"
+#include "mrt/rib/rib.hpp"
 #include "mrt/sim/scenario.hpp"
 
 namespace mrt {
@@ -180,6 +183,47 @@ TEST_F(JournalTest, DescribeIsDeterministicAcrossReplays) {
   const std::string second = run();
   EXPECT_FALSE(first.empty());
   EXPECT_EQ(first, second);
+}
+
+// The RIB journals aggregate table records on its own stream — solve begin,
+// each batch's delta ops, update end — and nothing per node: its columns
+// run the dyn engine's per-column code with journalling off. Flat and boxed
+// tables must therefore journal identical records.
+TEST_F(JournalTest, RibJournalsTableRecordsOnlyInBothModes) {
+  Digraph g = ring(6);
+  ValueVec labels(static_cast<std::size_t>(g.num_arcs()), Value::integer(1));
+  const LabeledGraph net(std::move(g), std::move(labels));
+  const OrderTransform ot{"chain(<=,sat+)", ord_chain(16),
+                          fam_chain_add(16, 1, 3), {}};
+  const compile::WeightEngine eng(ot);
+  const auto run = [&](const compile::WeightEngine* weng) {
+    obs::journal().reset();
+    rib::RibSolver rib(ot, weng);
+    rib.solve_all(net, Value::integer(0));
+    EXPECT_EQ(rib.batched_flat(), weng != nullptr && weng->compiled());
+    rib.update(dyn::TopologyDelta{}.arc_down(0));
+    rib.update(dyn::TopologyDelta{}.node_down(2).relabel(3, Value::integer(2)));
+    rib.update(dyn::TopologyDelta{}.arc_up(0).node_up(2));
+    std::string out;
+    for (const obs::JournalRecord& r : obs::journal().drain()) {
+      EXPECT_EQ(r.stream, rib.journal_stream()) << r.describe();
+      EXPECT_TRUE(r.kind == EventKind::SolveBegin ||
+                  r.kind == EventKind::UpdateBegin ||
+                  r.kind == EventKind::UpdateEnd ||
+                  r.kind == EventKind::DeltaArc ||
+                  r.kind == EventKind::DeltaRelabel ||
+                  r.kind == EventKind::DeltaNodeDown ||
+                  r.kind == EventKind::DeltaNodeUp)
+          << r.describe();
+      out += r.describe();
+      out += '\n';
+    }
+    return out;
+  };
+  const std::string flat = run(&eng);
+  const std::string boxed = run(nullptr);
+  EXPECT_FALSE(flat.empty());
+  EXPECT_EQ(flat, boxed);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@
 // and across every A/B axis the batched solver owns:
 //
 //   MRT_COMPILE — WeightEngine present (flat blocked kernels) vs absent
-//                 (boxed per-column fallback), via in-process toggles;
+//                 (boxed mode: one dyn::Column per destination), via
+//                 in-process toggles;
 //   MRT_DYN     — dyn::set_enabled(false) forces cold re-solves;
 //   MRT_THREADS — par::set_thread_limit, the bit-identical-at-any-
 //                 thread-count contract over destination blocks;
@@ -19,11 +20,13 @@
 // antisymmetric total orders, so the fixed point has a unique normal form.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "helpers.hpp"
+#include "reference_forest.hpp"
 #include "mrt/compile/simd.hpp"
 #include "mrt/core/bases.hpp"
 #include "mrt/core/combinators.hpp"
@@ -35,6 +38,7 @@
 namespace mrt {
 namespace {
 
+using mrt::testing::expect_reference_forest;
 using mrt::testing::I;
 using dyn::TopologyDelta;
 
@@ -252,6 +256,14 @@ TEST(RibDifferential, ColumnsByteIdenticalToStandaloneAcrossDeltas) {
                              std::to_string(c) + " " + d.describe());
       }
     }
+    // The columns and their standalone twins share one forest
+    // implementation, so check the final state against the definition too.
+    for (int c = 0; c < n; ++c) {
+      if (!rib.column_converged(c)) continue;
+      expect_reference_forest(rib.net(), inst.ot, c, origin_of(inst),
+                              rib.routing(c),
+                              inst.desc + " final col " + std::to_string(c));
+    }
   }
   // The sweep must genuinely exercise the incremental path, the flat
   // blocked kernels, and the multi-word vertical SIMD relax — not silently
@@ -413,7 +425,7 @@ TEST(Rib, SolveBindsAndMaterializesColumns) {
   EXPECT_EQ(st.affected_max(), n);
   EXPECT_DOUBLE_EQ(st.affected_mean_fraction(), 1.0);
 
-  // Without an engine the boxed fallback serves the same bytes.
+  // Without an engine the boxed columns serve the same bytes.
   rib::RibSolver boxed(inst.ot);
   boxed.solve(inst.net, dests, I(0));
   EXPECT_FALSE(boxed.batched_flat());
@@ -460,6 +472,147 @@ TEST(Rib, WarmAffectedSetsStayLocalOnRing) {
   }
   EXPECT_LT(fraction_sum / updates, 0.75)
       << "batched warm updates re-relaxed almost the whole table on average";
+}
+
+// Ingest atomicity: a batch whose second op names an out-of-range arc must
+// be rejected whole. Its first op downs a live witness arc; had that stuck
+// without a version bump or invalidation, the next valid update would leave
+// stale routes through the dead arc. In both modes the next valid update
+// must equal a cold solve of the topology without the rejected batch.
+TEST(Rib, RejectedBatchLeavesStateForNextUpdate) {
+  for (const bool with_engine : {true, false}) {
+    Rng rng(0x51B5);
+    RibInstance inst = sat_plus_instance(rng);
+    Digraph g = random_connected(rng, 40, 60);
+    ValueVec labels;
+    for (int id = 0; id < g.num_arcs(); ++id) {
+      labels.push_back(I(rng.range(inst.label_lo, inst.label_hi)));
+    }
+    inst.net = LabeledGraph(std::move(g), std::move(labels));
+    const int m = inst.net.graph().num_arcs();
+    const compile::WeightEngine eng(inst.ot);
+    const compile::WeightEngine* weng = with_engine ? &eng : nullptr;
+    rib::RibSolver rib(inst.ot, weng);
+    rib.solve_all(inst.net, I(0));
+    ASSERT_EQ(rib.batched_flat(), with_engine && eng.compiled());
+
+    // The witness arc used by the most (column, node) routes.
+    std::vector<int> uses(static_cast<std::size_t>(m), 0);
+    for (int c = 0; c < rib.num_columns(); ++c) {
+      for (int a : rib.routing(c).next_arc) {
+        if (a >= 0) ++uses[static_cast<std::size_t>(a)];
+      }
+    }
+    const int witness = static_cast<int>(
+        std::max_element(uses.begin(), uses.end()) - uses.begin());
+    ASSERT_GT(uses[static_cast<std::size_t>(witness)], 0);
+
+    const std::uint64_t version = rib.net().version();
+    const Value label = rib.net().label(witness);
+    EXPECT_THROW(rib.update(TopologyDelta{}.arc_down(witness).arc_down(m)),
+                 std::logic_error);
+    EXPECT_THROW(rib.update(TopologyDelta{}
+                                .relabel(witness, I(inst.label_hi))
+                                .node_down(inst.net.num_nodes())),
+                 std::logic_error);
+    EXPECT_EQ(rib.net().version(), version);
+    EXPECT_TRUE(rib.net().arc_alive(witness));
+    EXPECT_TRUE(rib.net().arc_admin_up(witness));
+    EXPECT_EQ(rib.net().label(witness), label);
+
+    const int other = (witness + 1) % m;
+    const TopologyDelta next = TopologyDelta{}.arc_down(other);
+    rib.update(next);
+    rib::RibSolver cold(inst.ot, weng);
+    cold.solve_all(inst.net, I(0));
+    const bool before = dyn::enabled();
+    dyn::set_enabled(false);
+    cold.update(next);
+    dyn::set_enabled(before);
+    ASSERT_TRUE(cold.last_update().cold);
+    for (int c = 0; c < rib.num_columns(); ++c) {
+      expect_identical(rib.routing(c), cold.routing(c),
+                       std::string(with_engine ? "flat" : "boxed") +
+                           " col " + std::to_string(c));
+    }
+  }
+}
+
+// Demotion: a relabel the compiled family refuses but the boxed family
+// applies (a negative constant on AddConst) pushes a flat table to boxed
+// mode mid-stream. Every lane decodes into its column, and from there on
+// each column must keep matching a standalone Bellman solver.
+TEST(Rib, DemotionMidStreamKeepsColumnsIdenticalToStandalone) {
+  Rng rng(0x51B6);
+  const OrderTransform ot = ot_shortest_path(4);
+  const Value refused = I(-1);
+  Digraph g = random_connected(rng, 20, 24);
+  ValueVec labels;
+  for (int id = 0; id < g.num_arcs(); ++id) {
+    labels.push_back(I(rng.range(1, 4)));
+  }
+  const LabeledGraph net(std::move(g), std::move(labels));
+  const int m = net.graph().num_arcs();
+  const int n = net.num_nodes();
+
+  // The boxed family applies the label; the compiler refuses it.
+  ASSERT_EQ(ot.fns->apply(refused, I(3)), I(2));
+  const compile::WeightEngine eng(ot);
+  if (!eng.compiled()) GTEST_SKIP() << "MRT_COMPILE=0: no flat table";
+  ASSERT_TRUE(compile::CompiledNet::make(eng, net).ok());
+  LabeledGraph probe = net;
+  probe.relabel(0, refused);
+  ASSERT_FALSE(compile::CompiledNet::make(eng, probe).ok());
+
+  rib::RibSolver rib(ot, &eng);
+  rib.solve_all(net, I(0));
+  ASSERT_TRUE(rib.batched_flat());
+  std::vector<std::unique_ptr<Solver>> ref;
+  for (int d = 0; d < n; ++d) {
+    ref.push_back(dyn::make_solver(dyn::EngineKind::Bellman, ot));
+    ref.back()->solve(net, d, I(0));
+  }
+  auto step = [&](const TopologyDelta& d, const std::string& what) {
+    rib.update(d);
+    for (int c = 0; c < n; ++c) {
+      ref[static_cast<std::size_t>(c)]->update(d);
+      ASSERT_EQ(rib.column_converged(c),
+                ref[static_cast<std::size_t>(c)]->converged())
+          << what << " col " << c;
+      expect_identical(rib.routing(c),
+                       ref[static_cast<std::size_t>(c)]->routing(),
+                       what + " col " + std::to_string(c) + " " +
+                           d.describe());
+    }
+  };
+  auto flap = [&] {
+    const int a = static_cast<int>(rng.below(static_cast<std::uint64_t>(m)));
+    return rng.below(2) == 0 ? TopologyDelta{}.arc_down(a)
+                             : TopologyDelta{}.arc_up(a);
+  };
+  for (int b = 0; b < 4; ++b) step(flap(), "flat batch " + std::to_string(b));
+  ASSERT_TRUE(rib.batched_flat());
+
+  // Relabel a live witness arc, so the demoted columns must re-relax.
+  const int arc = rib.routing(0).next_arc[static_cast<std::size_t>(n - 1)];
+  ASSERT_GE(arc, 0);
+  step(TopologyDelta{}.relabel(arc, refused), "demoting batch");
+  ASSERT_FALSE(rib.batched_flat());
+
+  for (int b = 0; b < 12; ++b) {
+    TopologyDelta d = flap();
+    if (b % 3 == 2) {
+      const int a = static_cast<int>(rng.below(static_cast<std::uint64_t>(m)));
+      d.relabel(a, I(rng.range(1, 4)));
+    }
+    step(d, "boxed batch " + std::to_string(b));
+  }
+  EXPECT_FALSE(rib.batched_flat());
+  for (int c = 0; c < n; ++c) {
+    if (!rib.column_converged(c)) continue;
+    expect_reference_forest(rib.net(), ot, c, I(0), rib.routing(c),
+                            "demoted col " + std::to_string(c));
+  }
 }
 
 }  // namespace
