@@ -94,6 +94,11 @@ struct SgLawCase {
   Tri assoc, comm, idem, selective;
 };
 
+// Print the case by name: gtest's default byte dump shows the name and
+// semigroup pointers, which differ on every run and so would change the
+// registered test names from build to build.
+void PrintTo(const SgLawCase& c, std::ostream* os) { *os << c.name; }
+
 class SemigroupLaws : public ::testing::TestWithParam<SgLawCase> {};
 
 TEST_P(SemigroupLaws, CheckerAgrees) {
